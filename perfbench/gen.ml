@@ -238,18 +238,27 @@ let gen_stream w ~seed ~nreq ~(zipf : zipf option) c =
           Ibuf.push ops (pack code key)
         done
     | Txn_clht ->
+        (* Half the members put fresh keys and half delete keys acked by
+           earlier requests, so the live set keeps the preload's size: a
+           growing one would cross a CLHT resize in some runs and not in
+           others, and pm_bytes_per_key, heap_peak_mib and recovery_ms
+           would jump with it. *)
         Bytes.set txn r '\001';
-        let j = Util.Rng.below rng live.Ibuf.n in
-        let victim = live.Ibuf.a.(j) in
-        live.Ibuf.a.(j) <- live.Ibuf.a.(live.Ibuf.n - 1);
-        live.Ibuf.n <- live.Ibuf.n - 1;
-        for _ = 1 to txn_members - 1 do
+        let victims =
+          List.init (txn_members / 2) (fun _ ->
+              let j = Util.Rng.below rng live.Ibuf.n in
+              let victim = live.Ibuf.a.(j) in
+              live.Ibuf.a.(j) <- live.Ibuf.a.(live.Ibuf.n - 1);
+              live.Ibuf.n <- live.Ibuf.n - 1;
+              victim)
+        in
+        for _ = 1 to txn_members - (txn_members / 2) do
           incr fresh;
           let key = fresh_key w c !fresh in
           Ibuf.push ops (pack c_put key);
           Ibuf.push live key
         done;
-        Ibuf.push ops (pack c_del victim)
+        List.iter (fun victim -> Ibuf.push ops (pack c_del victim)) victims
     | Crash_restart ->
         (* Distinct keys within a request, so a request cut off by the
            crash leaves at most one candidate value per key. *)

@@ -30,8 +30,15 @@ let fi = float_of_int
 let flush_ns = 100
 let fence_ns = 30
 let setups = 3  (* set-ups per end-to-end run; setup_s is their median *)
-let restarts = 11  (* restarts at the end of a run; recovery_ms averages them *)
-let restarts_trim = 2  (* fastest and slowest restarts left out of the mean *)
+let restarts = 31  (* restarts at the end of a run *)
+
+(* recovery_ms is this quantile of the restart times.  They are bimodal on
+   a shared machine: the walks run about 1.5x slower while a neighbour
+   loads the core, in stretches of a second or more.  A mean or a median
+   moves with the share of slow restarts in the run; a low quantile reads
+   the unloaded mode whenever a tenth of the restarts saw it, and a
+   neighbour can slow a restart but never speed it up. *)
+let restart_q = 0.1
 let cfg = S.default_config
 let out_dir = "perfbench/_out" (* trace files, relative to the checkout root *)
 
@@ -500,17 +507,6 @@ let median l =
   else if n mod 2 = 1 then a.(n / 2)
   else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
-(* Mean of the samples without the [restarts_trim] lowest and highest.
-   Restart times are bimodal on a shared machine (the walks run about 1.5x
-   slower while a neighbour loads the core), and a median jumps between the
-   modes where a mean follows their mix smoothly; the trim drops hiccups. *)
-let trimmed_mean l =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  let n = Array.length a - (2 * restarts_trim) in
-  if n <= 0 then median l
-  else Array.fold_left ( +. ) 0. (Array.sub a restarts_trim n) /. fi n
-
 (* Nearest-rank percentile of the sorted samples. *)
 let percentile sorted q =
   let n = Array.length sorted in
@@ -540,6 +536,9 @@ let windowed p clients =
       done)
     clients;
   let per f = median (List.init windows f) in
+  Printf.printf "windows_kops=[%s]\n"
+    (String.concat "; "
+       (List.init windows (fun k -> Printf.sprintf "%.1f" (fi ops.(k) /. (fi w /. 1e9) /. 1e3))));
   let pct k q =
     let a = Array.of_list lats.(k) in
     Array.sort compare a;
@@ -903,10 +902,12 @@ let () =
     Oracle.add tally ~attempted:0 ~failed:(rep.Oracle.lost + fetch_failed);
     S.stop srv2;
     (* More restarts of the same partitions (clean ones now), so
-       recovery_ms is a median rather than one jittery sample. *)
+       recovery_ms is a quantile rather than one jittery sample.  Each
+       starts after the GC finished its major cycle, so no GC debt of the
+       restart before lands in its time. *)
     let all = ref [ rc ] in
     for _ = 2 to restarts do
-      Gc.full_major ();
+      Gc.major ();
       let srv3, ok, r = restart su.parts in
       if not ok then Oracle.add tally ~attempted:0 ~failed:1;
       S.stop srv3;
@@ -927,7 +928,9 @@ let () =
                 (ms r.index_ns) (ms r.sweep_ns)
                 (ms (r.restart_ns - r.index_ns - r.sweep_ns)))
             !all));
-    (rc, rep, trimmed_mean (List.map (fun r -> ms r.restart_ns) !all))
+    let times = Array.of_list (List.map (fun r -> r.restart_ns) !all) in
+    Array.sort compare times;
+    (rc, rep, ms (percentile times restart_q))
   in
   ignore (phase ~dur_s:warm_s ~record:false ~traced:false ~may_kill:false);
   if not traced_run then begin
@@ -935,20 +938,15 @@ let () =
     let heap_peak_mib = fi p.p_heap_words *. 8. /. 1048576. in
     let words = (Pmem.Stats.snapshot ()).Pmem.Stats.s_words_allocated - su.words0 in
     let _, _, recovery_ms = finish () in
-    let live =
-      match w.Gen.kind with
-      | Gen.Txn_clht ->
-          (* each acked txn puts 3 fresh keys and deletes 1 *)
-          w.Gen.preload + Array.fold_left (fun a c -> a + (2 * c.acked)) 0 clients
-      | Gen.Put_zipf | Gen.Get_scan | Gen.Crash_restart -> w.Gen.preload
-    in
     let lat = samples clients in
     let w_kops, w_p50, w_p99 = windowed p clients in
     metric "throughput_kops" "kops/s" w_kops;
     metric "ack_p50_us" "us" (w_p50 /. 1e3);
     metric "ack_p99_us" "us" (w_p99 /. 1e3);
     metric "setup_s" "s" (median !setup_times);
-    metric "pm_bytes_per_key" "bytes" (fi words *. 8. /. fi live);
+    (* Live keys are the preload's in every workload: txn-clht deletes as
+       many keys as it adds. *)
+    metric "pm_bytes_per_key" "bytes" (fi words *. 8. /. fi w.Gen.preload);
     metric "heap_peak_mib" "MiB" heap_peak_mib;
     metric "recovery_ms" "ms" recovery_ms;
     Printf.printf
